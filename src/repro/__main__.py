@@ -9,27 +9,21 @@ Subcommands:
 - ``overhead`` -- print the Section 6.9 overhead report for a run;
 - ``trace``    -- run a named scenario fully instrumented, write a
                   JSON-lines trace and print the metrics summary;
-- ``bench``    -- benchmark a named scenario and emit ``BENCH_obs.json``;
+- ``bench <suite>`` -- run one benchmark suite, write its
+                  ``BENCH_<suite>.json`` and apply its gate; the suites are
+                  ``obs`` (a simulator scenario), ``exec`` (serial vs
+                  parallel engine), ``live`` (live cluster throughput and
+                  wire/fsync cost), ``wire`` (piggyback bytes, full clock
+                  vs delta), ``load`` (open-loop offered-rate sweep),
+                  ``scale`` (piggyback growth n=4..64) and ``service``
+                  (closed-loop users over the sharded service, with an
+                  exactly-once audit);
 - ``stress``   -- randomized fault-injection sweep: thousands of seeded
                   schedules, every run graded by the invariant oracles,
                   failures shrunk to replayable JSON reproducers;
-- ``exec-bench`` -- benchmark the parallel execution engine itself:
-                  run one seed block serially and in parallel, verify the
-                  results are bit-identical, emit ``BENCH_exec.json``;
-- ``wire-bench`` -- wire & storage fast path: delta-clock piggyback cost
-                  on stress-mix plus before/after live cluster runs
-                  (JSON vs binary frames, per-mutation vs group-commit
-                  fsyncs), emitting ``BENCH_wire.json``;
-- ``load``     -- open-loop load generator: one live cluster per offered
-                  rate, honest p50/p99 latency-vs-offered-load curves,
-                  emitting ``BENCH_load.json``;
 - ``serve``    -- boot the sharded multi-tenant KV service
                   (``repro.service``): S independent recovery domains,
-                  printed client endpoints, per-shard crash schedules;
-- ``service-bench`` -- closed-loop user simulator (concurrent sessions,
-                  Zipfian keys) over the service while replicas are
-                  SIGKILLed: exactly-once audit, per-shard unavailability
-                  and stale-read windows, ``BENCH_service.json``.
+                  printed client endpoints, per-shard crash schedules.
 
 Examples::
 
@@ -38,20 +32,22 @@ Examples::
     python -m repro table1 --seeds 0 1 2
     python -m repro figures
     python -m repro trace quickstart
-    python -m repro bench crash-storm --repeats 5
+    python -m repro bench obs crash-storm --repeats 5
     python -m repro stress --schedules 500 --seed 0 --jobs 4
     python -m repro stress --replay stress-repro-seed55.json
     python -m repro stress --live --schedules 3
     python -m repro live -n 3 --jobs 9 --no-crash --faults --fault-seed 7
-    python -m repro exec-bench --schedules 200 --jobs 4
+    python -m repro bench exec --schedules 200 --jobs 4
     python -m repro serve --shards 2 --run-seconds 10
-    python -m repro service-bench --shards 2 --sessions 200
+    python -m repro bench service --shards 2 --sessions 200
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis import check_recovery, measure_overhead
 from repro.apps import BankApp, PingPongApp, PipelineApp, RandomRoutingApp
@@ -161,7 +157,7 @@ def _add_crash_specs(parser: argparse.ArgumentParser) -> None:
 def _add_service_cluster(
     parser: argparse.ArgumentParser, *, run_seconds: float = 12.0
 ) -> None:
-    """Topology/failure flags shared by ``serve`` and ``service-bench``."""
+    """Topology/failure flags shared by ``serve`` and ``bench service``."""
     parser.add_argument("--shards", type=_positive_int, default=2)
     parser.add_argument("--nodes-per-shard", type=_positive_int, default=4,
                         help="1 gateway + N-1 replicas per shard")
@@ -269,7 +265,7 @@ def cmd_figures(_args: argparse.Namespace) -> int:
     print(f"figure 1: {'verified' if ok1 else 'MISMATCH'}")
 
     result5 = figure5()
-    from repro.sim.trace import EventKind
+    from repro.runtime.trace import EventKind
 
     ok5 = (
         len(result5.trace.events(EventKind.POSTPONE, pid=0)) == 1
@@ -312,43 +308,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"trace    : {out_path} ({lines} lines)")
     print()
     print(render_metrics_report(report))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark a named scenario; emit the BENCH_obs.json trajectory."""
-    from repro.obs import (
-        run_bench,
-        run_bench_matrix,
-        write_bench_json,
-        write_bench_matrix_json,
-    )
-
-    if args.matrix:
-        matrix = run_bench_matrix(
-            seed=args.seed, repeats=args.repeats, jobs=args.jobs
-        )
-        out = args.out if args.out != "BENCH_obs.json" else "BENCH_obs_matrix.json"
-        path = write_bench_matrix_json(matrix, out)
-        print(matrix.summary())
-        print(f"written: {path}")
-        return 0
-
-    bench = run_bench(
-        args.scenario, seed=args.seed, repeats=args.repeats, jobs=args.jobs
-    )
-    path = write_bench_json(bench, args.out)
-    print(f"scenario              : {bench.scenario}  "
-          f"(n={bench.n}, seed={bench.seed}, repeats={bench.repeats})")
-    print(f"wall time (best)      : {bench.wall_time_s:.4f} s")
-    print(f"events/sec            : {bench.events_per_sec:,.0f}")
-    print(f"delivered             : {bench.delivered}")
-    print(f"peak history records  : {bench.peak_history_records}")
-    print(f"piggyback bytes total : {bench.piggyback_bytes_total:.0f}")
-    print(f"piggyback bytes/msg   : {bench.piggyback_bytes_per_message:.1f}")
-    print(f"tokens broadcast      : {bench.tokens_broadcast:.0f}")
-    print(f"rollbacks / restarts  : {bench.rollbacks} / {bench.restarts}")
-    print(f"written               : {path}")
     return 0
 
 
@@ -454,31 +413,6 @@ def _cmd_stress_live(args: argparse.Namespace) -> int:
     for path in report.reproducers:
         print(f"  wrote {path}")
     return 0 if report.ok else 1
-
-
-def cmd_exec_bench(args: argparse.Namespace) -> int:
-    """Serial-vs-parallel engine benchmark; emit BENCH_exec.json."""
-    from repro.exec import run_exec_bench, write_exec_bench_json
-
-    bench = run_exec_bench(
-        args.schedules,
-        jobs=args.jobs,
-        profile=args.profile,
-        base_seed=args.seed,
-        budget_slots=args.budget_slots,
-    )
-    path = write_exec_bench_json(bench, args.out)
-    print(bench.summary())
-    print(f"written: {path}")
-    if not bench.identical:
-        return 1
-    if args.min_speedup is not None and bench.speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {bench.speedup:.2f}x is below the "
-            f"--min-speedup floor {args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
@@ -597,193 +531,6 @@ def cmd_rollback(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_live_bench(args: argparse.Namespace) -> int:
-    """Live throughput/latency benchmark; emit BENCH_live.json."""
-    import tempfile
-
-    from repro.live.bench import write_live_bench
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-live-bench-")
-    payload = write_live_bench(
-        args.out,
-        workdir,
-        n=args.n,
-        jobs=args.jobs,
-        run_seconds=args.run_seconds,
-    )
-    for name, scenario in payload["scenarios"].items():
-        print(f"{name}: {scenario['verdict']}")
-        print(
-            f"  {scenario['app_deliveries']} deliveries in "
-            f"{scenario['wall_seconds']}s "
-            f"({scenario['deliveries_per_second']}/s)"
-        )
-    print(f"written: {args.out}")
-    return 0 if all(
-        s["ok"] for s in payload["scenarios"].values()
-    ) else 1
-
-
-def cmd_wire_bench(args: argparse.Namespace) -> int:
-    """Wire/storage fast-path benchmark; emit BENCH_wire.json."""
-    import tempfile
-
-    from repro.live.wirebench import write_wire_bench
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-wire-bench-")
-    payload = write_wire_bench(
-        args.out,
-        workdir,
-        n=args.n,
-        jobs=args.jobs,
-        run_seconds=args.run_seconds,
-        seed=args.seed,
-        skip_live=args.skip_live,
-    )
-    pig = payload["piggyback"]
-    print(
-        f"piggyback (stress-mix): {pig['full_json_bytes_per_msg']} B/msg "
-        f"full JSON vs {pig['delta_bytes_per_msg']} B/msg delta "
-        f"({pig['reduction_factor']}x smaller, "
-        f"{pig['full_clock_fallbacks']} full-clock fallbacks)"
-    )
-    ok = True
-    if pig["reduction_factor"] is None or pig["reduction_factor"] < (
-        args.min_piggyback_reduction or 0.0
-    ):
-        print(
-            f"FAIL: piggyback reduction below the "
-            f"--min-piggyback-reduction floor "
-            f"{args.min_piggyback_reduction}"
-        )
-        ok = False
-    for name, pair in payload.get("live", {}).items():
-        before, after = pair["before"], pair["after"]
-        print(f"{name}:")
-        for label, rep in (("before", before), ("after", after)):
-            print(
-                f"  {label:6s} [{rep['wire_format']}, "
-                f"window={rep['storage_flush_window']}]: "
-                f"{rep['app_deliveries']} deliveries "
-                f"({rep['deliveries_per_second']}/s), "
-                f"{rep['fsyncs_per_delivery']} fsyncs/delivery, "
-                f"{rep['wire_bytes_per_delivery']} wire B/delivery -- "
-                f"{'ok' if rep['ok'] else 'ORACLE FAIL'}"
-            )
-            ok = ok and rep["ok"]
-    print(f"written: {args.out}")
-    return 0 if ok else 1
-
-
-def cmd_load(args: argparse.Namespace) -> int:
-    """Open-loop load sweep; emit BENCH_load.json."""
-    import tempfile
-
-    from repro.live.load import (
-        append_trend_row,
-        check_load_payload,
-        check_trend,
-        write_load_bench,
-    )
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-load-")
-    payload = write_load_bench(
-        args.out,
-        workdir,
-        n=args.n,
-        rates=tuple(args.rates),
-        duration=args.duration,
-        start_at=args.start_at,
-    )
-    for name, s in payload["scenarios"].items():
-        lat = s["job_latency_s"]
-        print(f"{name}: {s['verdict']}")
-        print(
-            f"  offered {s['offered_rate']:.0f}/s -> "
-            f"{s['app_deliveries']} deliveries in "
-            f"{s['active_seconds']}s active "
-            f"({s['deliveries_per_second']}/s; "
-            f"{s['deliveries_per_second_wall']}/s wall)"
-        )
-        print(
-            f"  latency p50={lat['p50']}s p99={lat['p99']}s "
-            f"min={lat['min']}s max={lat['max']}s"
-        )
-    print(
-        f"max sustained rate        : {payload['max_sustained_rate']}"
-    )
-    print(
-        f"peak deliveries/sec       : "
-        f"{payload['peak_deliveries_per_second']}"
-    )
-    print(f"written: {args.out}")
-
-    problems = check_load_payload(
-        payload, min_deliveries_per_sec=args.min_deliveries_per_sec
-    )
-    if args.trend_file:
-        if args.check_trend:
-            problems.extend(check_trend(args.trend_file, payload))
-        append_trend_row(args.trend_file, payload)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
-
-
-def cmd_scale_bench(args: argparse.Namespace) -> int:
-    """Piggyback scale sweep over live clusters; emit BENCH_scale.json."""
-    import tempfile
-
-    from repro.live.scalebench import (
-        append_trend_row,
-        check_scale_payload,
-        check_trend,
-        write_scale_bench,
-    )
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-scale-")
-    payload = write_scale_bench(
-        args.out,
-        workdir,
-        ns=tuple(args.ns),
-        jobs=args.jobs,
-        runner_jobs=args.runner_jobs,
-        budget_slots=args.budget_slots,
-    )
-    for name, s in payload["scenarios"].items():
-        print(f"{name}: {s.get('verdict')}")
-        if not s.get("ok"):
-            continue
-        print(
-            f"  piggyback {s['full_json_bytes_per_msg']} B/msg full-JSON "
-            f"vs {s['delta_bytes_per_msg']} B/msg delta "
-            f"({s['clocks_sent']} clocks)"
-        )
-        print(
-            f"  {s['deliveries']} deliveries "
-            f"({s['deliveries_per_second']}/s active; "
-            f"{s['fsyncs_per_delivery']} fsyncs/delivery; "
-            f"{s['wall_seconds']}s wall)"
-        )
-    growth = payload["growth"]
-    print(
-        f"growth exponent           : "
-        f"full-JSON {growth['full_json_exponent']}, "
-        f"delta {growth['delta_exponent']} "
-        f"(gate <= {args.max_exponent})"
-    )
-    print(f"written: {args.out}")
-
-    problems = check_scale_payload(payload, max_exponent=args.max_exponent)
-    if args.trend_file:
-        if args.check_trend:
-            problems.extend(check_trend(args.trend_file, payload))
-        append_trend_row(args.trend_file, payload)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    return 1 if problems else 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the sharded KV service and run it for --run-seconds."""
     import tempfile
@@ -829,35 +576,344 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_service_bench(args: argparse.Namespace) -> int:
-    """Closed-loop user simulator over the service; BENCH_service.json."""
+# ---------------------------------------------------------------------------
+# ``bench <suite>``: one front-end over every benchmark.  A suite declares
+# its flags, builds its payload plus a printed summary, and gates the
+# payload; cmd_bench writes every payload through the one shared writer
+# and applies the suite's trend gate when it has one.
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class BenchSuite:
+    """One ``bench`` suite: flags, runner, gate and optional trend."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    #: args -> (payload, summary lines)
+    run: Callable[[argparse.Namespace], tuple[dict, list[str]]]
+    #: (payload, args) -> problems; empty means the gate passes
+    gate: Callable[[dict, argparse.Namespace], list[str]] = (
+        lambda payload, args: []
+    )
+    #: "module:ATTR" of the suite's :class:`repro.bench.Trend`
+    trend: str | None = None
+
+
+def _workdir(args: argparse.Namespace) -> str:
     import tempfile
 
-    from repro.service import check_service_payload, write_service_bench
+    return args.workdir or tempfile.mkdtemp(prefix=f"repro-{args.suite}-")
 
-    config = _service_config(args)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-service-")
-    payload = write_service_bench(args.out, workdir, config)
+
+def _add_trend_flags(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--trend-file", default=None, metavar="JSONL",
+                        help="append a one-line trend row after the sweep")
+    parser.add_argument("--check-trend", action="store_true",
+                        help=f"fail if {what} vs the trend file's best "
+                             "recorded row")
+
+
+def _oracle_gate(payload: dict, args: argparse.Namespace) -> list[str]:
+    return [
+        f"{name}: oracle FAIL ({s['verdict']})"
+        for name, s in payload["scenarios"].items() if not s["ok"]
+    ]
+
+
+def _obs_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.obs.scenarios import SCENARIOS
+
+    parser.add_argument("scenario", nargs="?", default="quickstart",
+                        choices=sorted(SCENARIOS))
+    _add_seed(parser, default=None)
+    parser.add_argument("--repeats", type=_positive_int, default=3)
+    _add_out(parser, "BENCH_obs.json")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="run repeats (and matrix cells) in parallel")
+    parser.add_argument("--matrix", action="store_true",
+                        help="benchmark every scenario into one merged report")
+
+
+def _obs_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.obs import run_bench, run_bench_matrix
+
+    if args.matrix:
+        if args.out == "BENCH_obs.json":
+            args.out = "BENCH_obs_matrix.json"
+        matrix = run_bench_matrix(
+            seed=args.seed, repeats=args.repeats, jobs=args.jobs
+        )
+        return matrix.to_dict(), [matrix.summary()]
+    bench = run_bench(
+        args.scenario, seed=args.seed, repeats=args.repeats, jobs=args.jobs
+    )
+    return bench.to_dict(), [
+        f"scenario              : {bench.scenario}  "
+        f"(n={bench.n}, seed={bench.seed}, repeats={bench.repeats})",
+        f"wall time (best)      : {bench.wall_time_s:.4f} s",
+        f"events/sec            : {bench.events_per_sec:,.0f}",
+        f"delivered             : {bench.delivered}",
+        f"peak history records  : {bench.peak_history_records}",
+        f"piggyback bytes total : {bench.piggyback_bytes_total:.0f}",
+        f"piggyback bytes/msg   : {bench.piggyback_bytes_per_message:.1f}",
+        f"tokens broadcast      : {bench.tokens_broadcast:.0f}",
+        f"rollbacks / restarts  : {bench.rollbacks} / {bench.restarts}",
+    ]
+
+
+def _exec_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.stress.profiles import PROFILES
+
+    parser.add_argument("--schedules", type=_positive_int, default=200)
+    parser.add_argument("--jobs", type=_positive_int, default=4)
+    parser.add_argument("--profile", choices=sorted(PROFILES),
+                        default="quick")
+    _add_seed(parser)
+    _add_out(parser, "BENCH_exec.json")
+    parser.add_argument("--min-speedup", type=float, default=None,
+                        help="fail unless speedup reaches this floor")
+    parser.add_argument("--budget-slots", type=_positive_int, default=None,
+                        help="run the parallel leg under a ProcessBudget of "
+                             "this many slots (default: unlimited admission)")
+
+
+def _exec_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.exec import run_exec_bench
+
+    bench = run_exec_bench(
+        args.schedules,
+        jobs=args.jobs,
+        profile=args.profile,
+        base_seed=args.seed,
+        budget_slots=args.budget_slots,
+    )
+    return bench.to_dict(), [bench.summary()]
+
+
+def _exec_gate(payload: dict, args: argparse.Namespace) -> list[str]:
+    problems = []
+    if not payload["identical"]:
+        problems.append(
+            f"parallel results differ from serial on seeds "
+            f"{payload['mismatched_seeds']}"
+        )
+    if args.min_speedup is not None and payload["speedup"] < args.min_speedup:
+        problems.append(
+            f"speedup {payload['speedup']:.2f}x is below the "
+            f"--min-speedup floor {args.min_speedup:.2f}x"
+        )
+    return problems
+
+
+def _live_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_n(parser)
+    _add_cluster_shape(parser, jobs=64, run_seconds=6.0)
+    _add_out(parser, "BENCH_live.json")
+    _add_workdir(parser)
+
+
+def _live_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.live.bench import run_live_bench
+
+    payload = run_live_bench(
+        _workdir(args), n=args.n, jobs=args.jobs, run_seconds=args.run_seconds
+    )
+    lines = []
+    for name, s in payload["scenarios"].items():
+        lines += [
+            f"{name}: {s['verdict']}",
+            f"  {s['app_deliveries']} deliveries in {s['wall_seconds']}s "
+            f"({s['deliveries_per_second']}/s), "
+            f"{s['wire_bytes_per_delivery']} wire B/delivery, "
+            f"{s['fsyncs_per_delivery']} fsyncs/delivery",
+        ]
+    return payload, lines
+
+
+def _wire_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_seed(parser, default=None,
+              help="stress-mix seed for the piggyback section")
+    parser.add_argument("--min-piggyback-reduction", type=float,
+                        default=None, metavar="FACTOR",
+                        help="fail unless delta clocks shrink piggyback "
+                             "bytes/msg by at least this factor")
+    _add_out(parser, "BENCH_wire.json")
+
+
+def _wire_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.live.wirebench import run_wire_bench
+
+    payload = run_wire_bench(seed=args.seed)
+    pig = payload["piggyback"]
+    return payload, [
+        f"piggyback (stress-mix): {pig['full_json_bytes_per_msg']} B/msg "
+        f"full JSON vs {pig['delta_bytes_per_msg']} B/msg delta "
+        f"({pig['reduction_factor']}x smaller, "
+        f"{pig['full_clock_fallbacks']} full-clock fallbacks)"
+    ]
+
+
+def _wire_gate(payload: dict, args: argparse.Namespace) -> list[str]:
+    floor = args.min_piggyback_reduction or 0.0
+    factor = payload["piggyback"]["reduction_factor"]
+    if factor is None or factor < floor:
+        return [
+            f"piggyback reduction {factor} below the "
+            f"--min-piggyback-reduction floor {args.min_piggyback_reduction}"
+        ]
+    return []
+
+
+def _load_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_n(parser)
+    parser.add_argument("--rates", type=float, nargs="+",
+                        default=[250.0, 500.0, 1000.0, 2000.0],
+                        help="offered job rates to sweep (jobs/sec)")
+    parser.add_argument("--duration", type=float, default=4.0,
+                        help="seconds of offered load per scenario")
+    parser.add_argument("--start-at", type=float, default=0.25,
+                        help="env-time of the first injection")
+    _add_out(parser, "BENCH_load.json")
+    _add_workdir(parser)
+    parser.add_argument("--min-deliveries-per-sec", type=float, default=0.0,
+                        help="fail unless the sweep's best scenario reaches "
+                             "this active-window throughput")
+    _add_trend_flags(parser, "peak throughput collapses")
+
+
+def _load_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.live.load import run_load_bench
+
+    payload = run_load_bench(
+        _workdir(args),
+        n=args.n,
+        rates=tuple(args.rates),
+        duration=args.duration,
+        start_at=args.start_at,
+    )
+    lines = []
+    for name, s in payload["scenarios"].items():
+        lat = s["job_latency_s"]
+        lines += [
+            f"{name}: {s['verdict']}",
+            f"  offered {s['offered_rate']:.0f}/s -> "
+            f"{s['app_deliveries']} deliveries in "
+            f"{s['active_seconds']}s active "
+            f"({s['deliveries_per_second']}/s; "
+            f"{s['deliveries_per_second_wall']}/s wall)",
+            f"  latency p50={lat['p50']}s p99={lat['p99']}s "
+            f"min={lat['min']}s max={lat['max']}s",
+        ]
+    lines += [
+        f"max sustained rate        : {payload['max_sustained_rate']}",
+        f"peak deliveries/sec       : "
+        f"{payload['peak_deliveries_per_second']}",
+    ]
+    return payload, lines
+
+
+def _load_gate(payload: dict, args: argparse.Namespace) -> list[str]:
+    from repro.live.load import check_load_payload
+
+    return check_load_payload(
+        payload, min_deliveries_per_sec=args.min_deliveries_per_sec
+    )
+
+
+def _scale_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ns", type=_positive_int, nargs="+",
+                        default=[4, 8, 16, 32, 64],
+                        help="cluster sizes to sweep")
+    parser.add_argument("--jobs", type=_positive_int, default=12,
+                        help="pipeline jobs per scenario (fixed across n)")
+    parser.add_argument("--runner-jobs", type=_positive_int, default=2,
+                        help="exec-engine workers driving the scenarios")
+    parser.add_argument("--budget-slots", type=_positive_int, default=None,
+                        help="ProcessBudget slots; each scenario weighs "
+                             "n+1 (default: one slot per CPU)")
+    parser.add_argument("--max-exponent", type=float, default=1.3,
+                        help="fail if a fitted bytes/msg growth exponent "
+                             "exceeds this (the O(n) gate)")
+    _add_out(parser, "BENCH_scale.json")
+    _add_workdir(parser)
+    _add_trend_flags(parser, "delta piggyback regresses")
+
+
+def _scale_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.live.scalebench import run_scale_bench
+
+    payload = run_scale_bench(
+        _workdir(args),
+        ns=tuple(args.ns),
+        jobs=args.jobs,
+        runner_jobs=args.runner_jobs,
+        budget_slots=args.budget_slots,
+    )
+    lines = []
+    for name, s in payload["scenarios"].items():
+        lines.append(f"{name}: {s.get('verdict')}")
+        if s.get("ok"):
+            lines += [
+                f"  piggyback {s['full_json_bytes_per_msg']} B/msg "
+                f"full-JSON vs {s['delta_bytes_per_msg']} B/msg delta "
+                f"({s['clocks_sent']} clocks)",
+                f"  {s['deliveries']} deliveries "
+                f"({s['deliveries_per_second']}/s active; "
+                f"{s['fsyncs_per_delivery']} fsyncs/delivery; "
+                f"{s['wall_seconds']}s wall)",
+            ]
+    growth = payload["growth"]
+    lines.append(
+        f"growth exponent           : "
+        f"full-JSON {growth['full_json_exponent']}, "
+        f"delta {growth['delta_exponent']} (gate <= {args.max_exponent})"
+    )
+    return payload, lines
+
+
+def _scale_gate(payload: dict, args: argparse.Namespace) -> list[str]:
+    from repro.live.scalebench import check_scale_payload
+
+    return check_scale_payload(payload, max_exponent=args.max_exponent)
+
+
+def _service_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_service_cluster(parser, run_seconds=150.0)
+    parser.add_argument("--sessions", type=_positive_int, default=200,
+                        help="concurrent closed-loop user sessions")
+    parser.add_argument("--ops-per-session", type=_positive_int, default=20)
+    parser.add_argument("--keys", type=_positive_int, default=64)
+    parser.add_argument("--put-ratio", type=float, default=0.6)
+    parser.add_argument("--zipf-s", type=float, default=1.1,
+                        help="Zipf skew of the key popularity")
+    _add_seed(parser, help="workload seed (session op streams)")
+    parser.add_argument("--request-timeout", type=float, default=0.4,
+                        help="per-attempt reply timeout before a same-op-id "
+                             "retry")
+    _add_out(parser, "BENCH_service.json")
+
+
+def _service_run(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    from repro.service import run_service_bench
+
+    payload = run_service_bench(_service_config(args), _workdir(args))
     exactly_once = payload["exactly_once"]
-    print(
+    lines = [
         f"ops: {payload['ops_total'] - payload['ops_failed']}"
         f"/{payload['ops_total']} completed, "
-        f"{payload['puts_acked']} put(s) acked"
-    )
-    print(
+        f"{payload['puts_acked']} put(s) acked",
         f"exactly-once: "
         f"{'VERIFIED' if exactly_once['verified'] else 'FAILED'} "
         f"({exactly_once['audited_keys']} key(s) audited, "
         f"{len(exactly_once['mismatches'])} mismatch(es), "
         f"{exactly_once['monotonicity_violations']} monotonicity "
-        f"violation(s))"
-    )
+        f"violation(s))",
+    ]
     for shard, report in sorted(payload["per_shard"].items()):
         unavailable = report["unavailability"]
         stale = report["stale_reads"]
         latency = report["latency_s"]
         oracle = report.get("oracle", {})
-        print(
+        lines.append(
             f"shard {shard}: {report['ops']} ops "
             f"(p50={latency['p50']}s p99={latency['p99']}s), "
             f"{report['retries']} retries -- "
@@ -866,8 +922,71 @@ def cmd_service_bench(args: argparse.Namespace) -> int:
             f"stale {stale['total_s']}s over {stale['events']} event(s), "
             f"oracle {'ok' if oracle.get('ok') else 'FAIL'}"
         )
-    print(f"written: {args.out}")
-    problems = check_service_payload(payload)
+    return payload, lines
+
+
+def _service_gate(payload: dict, args: argparse.Namespace) -> list[str]:
+    from repro.service import check_service_payload
+
+    return check_service_payload(payload)
+
+
+BENCH_SUITES = {
+    "obs": BenchSuite(
+        "benchmark a simulator scenario (BENCH_obs.json)",
+        _obs_arguments, _obs_run,
+    ),
+    "exec": BenchSuite(
+        "serial-vs-parallel engine benchmark (BENCH_exec.json)",
+        _exec_arguments, _exec_run, _exec_gate,
+    ),
+    "live": BenchSuite(
+        "live cluster throughput, latency, wire and fsync cost "
+        "(BENCH_live.json)",
+        _live_arguments, _live_run, _oracle_gate,
+    ),
+    "wire": BenchSuite(
+        "piggyback cost, full-clock JSON vs per-link delta "
+        "(BENCH_wire.json)",
+        _wire_arguments, _wire_run, _wire_gate,
+    ),
+    "load": BenchSuite(
+        "open-loop load sweep over live clusters (BENCH_load.json)",
+        _load_arguments, _load_run, _load_gate, "repro.live.load:TREND",
+    ),
+    "scale": BenchSuite(
+        "piggyback scale sweep n=4..64 over live clusters "
+        "(BENCH_scale.json)",
+        _scale_arguments, _scale_run, _scale_gate,
+        "repro.live.scalebench:TREND",
+    ),
+    "service": BenchSuite(
+        "closed-loop user simulator over the sharded service "
+        "(BENCH_service.json)",
+        _service_arguments, _service_run, _service_gate,
+    ),
+}
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Run one bench suite, write its payload, print and gate it."""
+    import importlib
+
+    from repro.bench import append_trend_row, check_trend, write_payload
+
+    suite = BENCH_SUITES[args.suite]
+    payload, summary = suite.run(args)
+    path = write_payload(payload, args.out)
+    for line in summary:
+        print(line)
+    print(f"written: {path}")
+    problems = suite.gate(payload, args)
+    if suite.trend is not None and args.trend_file:
+        module, attr = suite.trend.split(":")
+        trend = getattr(importlib.import_module(module), attr)
+        if args.check_trend:
+            problems += check_trend(args.trend_file, payload, trend)
+        append_trend_row(args.trend_file, payload, trend)
     for problem in problems:
         print(f"FAIL: {problem}")
     return 1 if problems else 0
@@ -922,17 +1041,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark a scenario and emit BENCH_obs.json",
+        help="run a benchmark suite and write its BENCH_<suite>.json",
     )
-    bench.add_argument("scenario", nargs="?", default="quickstart",
-                       choices=sorted(SCENARIOS))
-    _add_seed(bench, default=None)
-    bench.add_argument("--repeats", type=_positive_int, default=3)
-    _add_out(bench, "BENCH_obs.json")
-    bench.add_argument("--jobs", type=_positive_int, default=1,
-                       help="run repeats (and matrix cells) in parallel")
-    bench.add_argument("--matrix", action="store_true",
-                       help="benchmark every scenario into one merged report")
+    suites = bench.add_subparsers(dest="suite", required=True,
+                                  metavar="SUITE")
+    for name, suite in BENCH_SUITES.items():
+        suite.add_arguments(suites.add_parser(name, help=suite.help))
     bench.set_defaults(func=cmd_bench)
 
     from repro.stress.profiles import PROFILES as STRESS_PROFILES
@@ -966,25 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "faults, corrupt frames) instead of the "
                              "simulator")
     stress.set_defaults(func=cmd_stress)
-
-    exec_bench = sub.add_parser(
-        "exec-bench",
-        help="serial-vs-parallel engine benchmark; emit BENCH_exec.json",
-    )
-    exec_bench.add_argument("--schedules", type=_positive_int, default=200)
-    exec_bench.add_argument("--jobs", type=_positive_int, default=4)
-    exec_bench.add_argument("--profile", choices=sorted(STRESS_PROFILES),
-                            default="quick")
-    _add_seed(exec_bench)
-    _add_out(exec_bench, "BENCH_exec.json")
-    exec_bench.add_argument("--min-speedup", type=float, default=None,
-                            help="fail unless speedup reaches this floor")
-    exec_bench.add_argument("--budget-slots", type=_positive_int,
-                            default=None,
-                            help="run the parallel leg under a "
-                                 "ProcessBudget of this many slots "
-                                 "(default: unlimited admission)")
-    exec_bench.set_defaults(func=cmd_exec_bench)
 
     overhead = sub.add_parser("overhead",
                               help="Section 6.9 overhead report")
@@ -1039,85 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="only these nodes (default: all)")
     rollback.set_defaults(func=cmd_rollback)
 
-    live_bench = sub.add_parser(
-        "live-bench",
-        help="live throughput/latency benchmark (BENCH_live.json)",
-    )
-    _add_n(live_bench)
-    _add_cluster_shape(live_bench, jobs=64, run_seconds=6.0)
-    _add_out(live_bench, "BENCH_live.json")
-    _add_workdir(live_bench)
-    live_bench.set_defaults(func=cmd_live_bench)
-
-    wire_bench = sub.add_parser(
-        "wire-bench",
-        help="wire/storage fast-path benchmark (BENCH_wire.json)",
-    )
-    _add_n(wire_bench)
-    _add_cluster_shape(wire_bench, jobs=64, run_seconds=6.0)
-    _add_seed(wire_bench, default=None,
-              help="stress-mix seed for the piggyback section")
-    wire_bench.add_argument("--skip-live", action="store_true",
-                            help="piggyback section only (no TCP clusters)")
-    wire_bench.add_argument("--min-piggyback-reduction", type=float,
-                            default=None, metavar="FACTOR",
-                            help="fail unless delta clocks shrink piggyback "
-                                 "bytes/msg by at least this factor")
-    _add_out(wire_bench, "BENCH_wire.json")
-    _add_workdir(wire_bench)
-    wire_bench.set_defaults(func=cmd_wire_bench)
-
-    load = sub.add_parser(
-        "load",
-        help="open-loop load sweep over live clusters (BENCH_load.json)",
-    )
-    _add_n(load)
-    load.add_argument("--rates", type=float, nargs="+",
-                      default=[250.0, 500.0, 1000.0, 2000.0],
-                      help="offered job rates to sweep (jobs/sec)")
-    load.add_argument("--duration", type=float, default=4.0,
-                      help="seconds of offered load per scenario")
-    load.add_argument("--start-at", type=float, default=0.25,
-                      help="env-time of the first injection")
-    _add_out(load, "BENCH_load.json")
-    _add_workdir(load)
-    load.add_argument("--min-deliveries-per-sec", type=float, default=0.0,
-                      help="fail unless the sweep's best scenario reaches "
-                           "this active-window throughput")
-    load.add_argument("--trend-file", default=None, metavar="JSONL",
-                      help="append a one-line trend row after the sweep")
-    load.add_argument("--check-trend", action="store_true",
-                      help="fail if peak throughput collapses vs the "
-                           "trend file's best recorded row")
-    load.set_defaults(func=cmd_load)
-
-    scale = sub.add_parser(
-        "scale-bench",
-        help="piggyback scale sweep n=4..64 over live clusters "
-             "(BENCH_scale.json)",
-    )
-    scale.add_argument("--ns", type=_positive_int, nargs="+",
-                       default=[4, 8, 16, 32, 64],
-                       help="cluster sizes to sweep")
-    scale.add_argument("--jobs", type=_positive_int, default=12,
-                       help="pipeline jobs per scenario (fixed across n)")
-    scale.add_argument("--runner-jobs", type=_positive_int, default=2,
-                       help="exec-engine workers driving the scenarios")
-    scale.add_argument("--budget-slots", type=_positive_int, default=None,
-                       help="ProcessBudget slots; each scenario weighs "
-                            "n+1 (default: one slot per CPU)")
-    scale.add_argument("--max-exponent", type=float, default=1.3,
-                       help="fail if a fitted bytes/msg growth exponent "
-                            "exceeds this (the O(n) gate)")
-    _add_out(scale, "BENCH_scale.json")
-    _add_workdir(scale)
-    scale.add_argument("--trend-file", default=None, metavar="JSONL",
-                       help="append a one-line trend row after the sweep")
-    scale.add_argument("--check-trend", action="store_true",
-                       help="fail if delta piggyback regresses vs the "
-                            "trend file's best recorded rows")
-    scale.set_defaults(func=cmd_scale_bench)
-
     serve = sub.add_parser(
         "serve",
         help="boot the sharded KV service (repro.service) and run it",
@@ -1125,26 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_cluster(serve)
     serve.set_defaults(func=cmd_serve)
 
-    service_bench = sub.add_parser(
-        "service-bench",
-        help="closed-loop user simulator over the sharded service "
-             "(BENCH_service.json)",
-    )
-    _add_service_cluster(service_bench, run_seconds=150.0)
-    service_bench.add_argument("--sessions", type=_positive_int, default=200,
-                               help="concurrent closed-loop user sessions")
-    service_bench.add_argument("--ops-per-session", type=_positive_int,
-                               default=20)
-    service_bench.add_argument("--keys", type=_positive_int, default=64)
-    service_bench.add_argument("--put-ratio", type=float, default=0.6)
-    service_bench.add_argument("--zipf-s", type=float, default=1.1,
-                               help="Zipf skew of the key popularity")
-    _add_seed(service_bench, help="workload seed (session op streams)")
-    service_bench.add_argument("--request-timeout", type=float, default=0.4,
-                               help="per-attempt reply timeout before a "
-                                    "same-op-id retry")
-    _add_out(service_bench, "BENCH_service.json")
-    service_bench.set_defaults(func=cmd_service_bench)
     return parser
 
 

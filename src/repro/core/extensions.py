@@ -54,8 +54,12 @@ class StabilityCoordinator:
     The coordinator models the paper's suggested control plane: it costs
     one frontier entry per process per sweep and never touches protocol
     decisions -- it only unlocks output commit and space reclamation.
-    Frontiers of crashed processes are served from the last report, which
-    is sound: a flushed prefix remains recoverable forever.
+    A crashed process's frontier is read from its stable storage (the
+    durable ``stable_own``), not from its last report: a flushed prefix is
+    *not* recoverable forever -- a rollback after the report truncates
+    the orphaned part of it, and the process's next states then reuse
+    those timestamps, so a stale report would certify states that its
+    restart loses.
     """
 
     def __init__(
@@ -90,6 +94,10 @@ class StabilityCoordinator:
         for protocol in self.protocols:
             if protocol.env.alive:
                 self._cached[protocol.pid] = protocol.stable_frontier()
+            else:
+                durable = protocol.storage.get("stable_own")
+                if durable is not None:
+                    self._cached[protocol.pid] = durable
         frontier = dict(self._cached)
         for protocol in self.protocols:
             if protocol.env.alive:

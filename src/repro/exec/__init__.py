@@ -46,13 +46,11 @@ __all__ = [
     "resolve_fn",
     "run_exec_bench",
     "task_key",
-    "write_exec_bench_json",
 ]
 
 _LAZY = {
     "ExecBenchResult": "repro.exec.bench",
     "run_exec_bench": "repro.exec.bench",
-    "write_exec_bench_json": "repro.exec.bench",
 }
 
 

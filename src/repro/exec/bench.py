@@ -10,17 +10,14 @@
   runner this should comfortably exceed 1; CI fails the build when
   parallel is slower than serial (see ``.github/workflows/ci.yml``).
 
-:func:`write_exec_bench_json` persists the measurement as
-``BENCH_exec.json`` (format ``repro-exec-bench-v1``) next to the repo's
-other benchmark artifacts.
+``python -m repro bench exec`` writes the measurement as
+``BENCH_exec.json`` (format ``repro-exec-bench-v1``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 
 from repro.stress.profiles import PROFILES, StressProfile
@@ -171,13 +168,3 @@ def run_exec_bench(
         cpu_count=os.cpu_count() or 1,
         budget_slots=budget_slots,
     )
-
-
-def write_exec_bench_json(result: ExecBenchResult, path: Path | str) -> Path:
-    """Write the measurement as ``BENCH_exec.json``-style JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    return path

@@ -62,7 +62,7 @@ class ProcessBudget:
     while their combined weight fits.  This is what lets one runner mix
     ordinary one-process simulations (1 slot) with live-cluster tasks
     that each spawn an n-node mesh (``n + 1`` slots) without
-    oversubscribing the machine: an n=64 scale-bench scenario takes 65
+    oversubscribing the machine: an n=64 ``bench scale`` scenario takes 65
     slots, so on a 64-core host nothing else is admitted beside it,
     while sixteen n=4 scenarios (5 slots each) would need 80 and are
     throttled to twelve at a time.

@@ -35,7 +35,7 @@ from repro.sim.network import (
 from repro.runtime.env import RuntimeEnv
 from repro.sim.process import Application, ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
+from repro.runtime.trace import SimTrace
 
 ProtocolFactory = Callable[
     [RuntimeEnv, Application, ProtocolConfig], BaseRecoveryProcess

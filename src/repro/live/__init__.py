@@ -5,8 +5,11 @@ the :class:`~repro.runtime.env.RuntimeEnv` interface -- as real OS
 processes talking over TCP, with file-backed stable storage and real
 SIGKILL crashes:
 
-- :mod:`repro.live.codec` / :mod:`repro.live.framing` -- the wire format
-  (tagged JSON in length-prefixed frames);
+- :mod:`repro.live.wire` / :mod:`repro.live.framing` -- the mesh wire
+  format: binary frames with per-link FTVC delta chains, each in a
+  length-prefixed, CRC32-checked frame;
+- :mod:`repro.live.codec` -- the tagged-JSON value codec that traces
+  and done reports use;
 - :mod:`repro.live.storage` -- :class:`FileStableStorage`, persisting the
   durable half of a process's state through ``os.replace``;
 - :mod:`repro.live.env` -- :class:`LiveEnv`, the event-loop-backed
@@ -23,10 +26,10 @@ SIGKILL crashes:
   links, disk faults, corrupt frames), enforced node-side;
 - :mod:`repro.live.verify` -- recovery/no-orphan verdict over the merged
   trace;
-- :mod:`repro.live.bench` -- throughput/latency benchmark
-  (``BENCH_live.json``);
-- :mod:`repro.live.load` -- open-loop load generator and offered-rate
-  sweep (``BENCH_load.json``).
+- :mod:`repro.live.bench`, :mod:`repro.live.wirebench`,
+  :mod:`repro.live.load` (with the open-loop load generator) and
+  :mod:`repro.live.scalebench` -- the payloads of the ``live``,
+  ``wire``, ``load`` and ``scale`` suites of ``python -m repro bench``.
 """
 
 from repro.live.env import LiveEnv, LiveTrace

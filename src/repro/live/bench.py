@@ -6,16 +6,17 @@ Two scenarios over the same 4-process pipeline workload:
 - ``one_crash``: one mid-run SIGKILL + restart.
 
 Reported per scenario: delivery throughput, job-completion latency
-percentiles (bootstrap to final-stage output, in env-time seconds),
-recovery lag for the crash scenario (SIGKILL to the victim's RESTART
-trace event), and the conformance verdict of the run.  Numbers are wall
-time on whatever machine ran the benchmark -- they contextualise the
-protocol's live behaviour, they are not simulator-grade deterministic.
+percentiles (bootstrap to final-stage output, in env-time seconds), the
+wire and storage cost per delivery (framed bytes, data frames and
+storage persists -- each persist is one fsync), recovery lag for the
+crash scenario (SIGKILL to the victim's RESTART trace event), and the
+conformance verdict of the run.  Numbers are wall time on whatever
+machine ran the benchmark -- they contextualise the protocol's live
+behaviour, they are not simulator-grade deterministic.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any
 
@@ -58,6 +59,9 @@ def _scenario_report(result: LiveRunResult) -> dict[str, Any]:
     delivered = result.total_delivered
     window = active_window(result.trace)
     active_seconds = (window[1] - window[0]) if window else None
+    done = result.done.values()
+    wire_bytes = sum(d["transport"]["bytes_sent"] for d in done)
+    fsyncs = sum(d["storage_persists"] for d in done)
     report: dict[str, Any] = {
         "verdict": verdict.summary(),
         "ok": verdict.ok,
@@ -80,6 +84,15 @@ def _scenario_report(result: LiveRunResult) -> dict[str, Any]:
             round(delivered / result.wall_seconds, 2)
             if result.wall_seconds > 0
             else None
+        ),
+        "data_frames_sent": sum(
+            d["transport"]["data_frames_sent"] for d in done
+        ),
+        "wire_bytes_per_delivery": (
+            round(wire_bytes / delivered, 1) if delivered else None
+        ),
+        "fsyncs_per_delivery": (
+            round(fsyncs / delivered, 2) if delivered else None
         ),
         "job_latency_s": {
             "p50": percentile(latencies, 0.50),
@@ -146,11 +159,3 @@ def run_live_bench(
         "run_seconds": run_seconds,
         "scenarios": scenarios,
     }
-
-
-def write_live_bench(path: str, workdir: str, **kwargs: Any) -> dict[str, Any]:
-    payload = run_live_bench(workdir, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload

@@ -1,15 +1,16 @@
-"""Tagged-JSON codec for the live wire format.
+"""Tagged-JSON value codec for live traces and done reports.
 
-Everything a protocol puts on the wire (or in a trace field) is built from
-JSON scalars, lists, dicts, tuples, sets, frozen dataclasses and the
-:class:`~repro.core.ftvc.FaultTolerantVectorClock`.  The codec encodes
-those losslessly into plain JSON with ``"__tag__"``-style markers and
-decodes them back into the original types.
+Everything a protocol records in a trace field (or a node reports) is
+built from JSON scalars, lists, dicts, tuples, sets, frozen dataclasses
+and the :class:`~repro.core.ftvc.FaultTolerantVectorClock`.  The codec
+encodes those losslessly into plain JSON with ``"__tag__"``-style markers
+and decodes them back into the original types.  Mesh links use the
+binary :mod:`repro.live.wire` frames instead.
 
 Security note: decoding instantiates classes by name, so the decoder only
 accepts dataclasses defined in modules under the ``repro.`` package.  A
-frame naming anything else is rejected -- the live cluster should never
-execute a constructor picked by the network.
+document naming anything else is rejected -- the live cluster should
+never execute a constructor picked by its input.
 """
 
 from __future__ import annotations

@@ -56,26 +56,17 @@ class LiveTrace:
       had never happened;
     - :meth:`close` flushes, so a clean shutdown loses nothing.
 
-    ``buffer_records=1`` restores the old flush-per-record behaviour.
     Without a running event loop (synchronous tests) there is nothing to
     fire the timer, so records flush immediately -- same observable
     behaviour as before.
     """
 
-    def __init__(
-        self,
-        fh: IO[str],
-        *,
-        buffer_records: int = 64,
-        buffer_seconds: float = 0.05,
-    ) -> None:
-        if buffer_records < 1:
-            raise ValueError(
-                f"buffer_records must be >= 1, got {buffer_records}"
-            )
+    #: Records per grouped write, and the age cap of a partial group.
+    buffer_records = 64
+    buffer_seconds = 0.05
+
+    def __init__(self, fh: IO[str]) -> None:
         self._fh = fh
-        self.buffer_records = buffer_records
-        self.buffer_seconds = buffer_seconds
         self._buffer: list[str] = []
         self._flush_handle: asyncio.TimerHandle | None = None
         self.records_written = 0

@@ -25,13 +25,12 @@ values are unchanged).
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from typing import Any, Sequence
 
 from repro.analysis.metrics import percentile
 from repro.apps.applications import Job, PipelineApp, mix64
+from repro.bench import Trend
 from repro.live.bench import active_window
 from repro.live.supervisor import LiveClusterSpec, LiveRunResult, run_cluster
 from repro.live.verify import check_live_run
@@ -325,16 +324,6 @@ def run_load_bench(
     }
 
 
-def write_load_bench(
-    path: str, workdir: str, **kwargs: Any
-) -> dict[str, Any]:
-    payload = run_load_bench(workdir, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Regression gate (CI)
 # ---------------------------------------------------------------------------
@@ -369,11 +358,10 @@ def check_load_payload(
     return problems
 
 
-def append_trend_row(path: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """Append one JSONL trend row so cross-PR throughput regressions are
-    visible (and CI-checkable) without storing every full report."""
-    row = {
-        "ts": round(time.time(), 3),
+#: Cross-run trend of the sweep's peak throughput: fail below half the
+#: best recorded peak (``python -m repro bench load --check-trend``).
+TREND = Trend(
+    row=lambda payload: {
         "n": payload.get("n"),
         "duration_s": payload.get("duration_s"),
         "offered_rates": payload.get("offered_rates"),
@@ -382,37 +370,10 @@ def append_trend_row(path: str, payload: dict[str, Any]) -> dict[str, Any]:
             "peak_deliveries_per_second"
         ),
         "cpus": payload.get("cpus"),
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return row
-
-
-def check_trend(
-    path: str, payload: dict[str, Any], *, tolerance: float = 0.5
-) -> list[str]:
-    """Compare this sweep against the recorded trend.
-
-    Fails when peak throughput drops below ``tolerance`` times the best
-    previously recorded row (machines differ, so the gate is loose --
-    it catches collapses, not noise).
-    """
-    if not os.path.exists(path):
-        return []
-    best_prior = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            best_prior = max(
-                best_prior, row.get("peak_deliveries_per_second") or 0.0
-            )
-    current = payload.get("peak_deliveries_per_second") or 0.0
-    if best_prior > 0 and current < tolerance * best_prior:
-        return [
-            f"peak throughput {current:.1f}/s regressed below "
-            f"{tolerance:.0%} of the best recorded {best_prior:.1f}/s"
-        ]
-    return []
+    },
+    metric=lambda row: {
+        "peak deliveries/s": row.get("peak_deliveries_per_second") or 0.0
+    },
+    better="higher",
+    tolerance=0.5,
+)

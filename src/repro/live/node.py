@@ -58,6 +58,9 @@ from repro.protocols.base import ProtocolConfig
 from repro.storage.intents import heal
 
 _BOOTS_KEY = "node_boots"
+#: Group-commit window for lazy storage writes (the transport outbox):
+#: they reach disk with the next barrier or at most this many seconds late.
+STORAGE_FLUSH_WINDOW = 0.05
 
 
 def build_app(spec: dict[str, Any]):
@@ -106,7 +109,7 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
     storage = FileStableStorage(
         pid,
         os.path.join(cfg["data_dir"], f"stable_p{pid}.pickle"),
-        flush_window=float(cfg.get("storage_flush_window", 0.0)),
+        flush_window=STORAGE_FLUSH_WINDOW,
     )
     # Startup recovery crawler: repair any multi-step durable transition
     # the killed incarnation left in flight, before anything (the boot
@@ -137,7 +140,6 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
         host=cfg.get("host", "127.0.0.1"),
         boot=boot,
         storage=storage,
-        wire_format=cfg.get("wire_format", "binary"),
         faults=faults,
     )
     await transport.start()
@@ -152,11 +154,7 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
         cfg["epoch_path"], timeout=float(cfg.get("epoch_timeout", 30.0))
     )
 
-    trace = LiveTrace(
-        open(cfg["trace_path"], "a", encoding="utf-8"),
-        buffer_records=int(cfg.get("trace_buffer_records", 64)),
-        buffer_seconds=float(cfg.get("trace_buffer_seconds", 0.05)),
-    )
+    trace = LiveTrace(open(cfg["trace_path"], "a", encoding="utf-8"))
     # Flush-before-barrier rule: the trace buffer hits the file before
     # every stable-storage persist, so any record describing a durable
     # effect is on disk no later than the barrier that made the effect
@@ -261,7 +259,6 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
             "bytes_received": transport.bytes_received,
             "data_frames_sent": transport.data_frames_sent,
             "dial_attempts": transport.dial_attempts,
-            "wire_format": transport.wire_format,
         },
         "faults": faults.counters(),
         "storage_persists": storage.persist_count,
@@ -296,35 +293,12 @@ async def run_node(cfg: dict[str, Any]) -> dict[str, Any]:
     return done
 
 
-def _maybe_install_uvloop(cfg: dict[str, Any]) -> bool:
-    """Install uvloop if requested and importable.
-
-    Opt-in via ``"event_loop": "uvloop"`` in the node config or the
-    ``REPRO_LIVE_EVENT_LOOP=uvloop`` environment variable.  uvloop is
-    never a dependency: when it is absent the stock asyncio loop is used
-    silently, so configs are portable across environments with and
-    without it.
-    """
-    want = cfg.get(
-        "event_loop", os.environ.get("REPRO_LIVE_EVENT_LOOP", "asyncio")
-    )
-    if want != "uvloop":
-        return False
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.live.node")
     parser.add_argument("--config", required=True)
     args = parser.parse_args(argv)
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    _maybe_install_uvloop(cfg)
     done = asyncio.run(run_node(cfg))
     tmp = cfg["done_path"] + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -4,7 +4,7 @@ The paper's headline efficiency claim is that the recovery state a
 damani-garg message carries -- the failure-tagged vector clock -- grows
 linearly in the process count and needs no extra control messages.  Every
 other benchmark in this repo runs n=4, where any encoding looks cheap.
-``python -m repro scale-bench`` runs one *live* cluster per n in
+``python -m repro bench scale`` runs one *live* cluster per n in
 {4, 8, 16, 32, 64} and charts, against n:
 
 - **piggyback bytes/msg**, full-JSON vs delta-encoded, from the
@@ -33,13 +33,13 @@ under an n-squared message storm.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
 import time
 from typing import Any, Sequence
 
+from repro.bench import Trend
 from repro.live.bench import active_window
 from repro.live.supervisor import LiveClusterSpec, run_cluster
 from repro.live.verify import check_live_run
@@ -329,16 +329,6 @@ def run_scale_bench(
     }
 
 
-def write_scale_bench(
-    path: str, workdir: str, **kwargs: Any
-) -> dict[str, Any]:
-    payload = run_scale_bench(workdir, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Regression gates (CI)
 # ---------------------------------------------------------------------------
@@ -349,7 +339,7 @@ def check_scale_payload(
 
     - every scenario's oracle verdict must PASS;
     - the delta encoding must be *strictly* cheaper than full JSON at
-      every n (the wire-bench claim, now at scale);
+      every n (the wire suite's claim, now at scale);
     - both fitted growth exponents must stay at or below
       ``max_exponent`` -- the empirical form of the paper's O(n) claim,
       with headroom for constant factors and small-n noise.
@@ -383,11 +373,9 @@ def check_scale_payload(
     return problems
 
 
-def append_trend_row(path: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """Append one JSONL trend row (same pattern as the load bench)."""
+def _trend_row(payload: dict[str, Any]) -> dict[str, Any]:
     growth = payload.get("growth", {})
-    row = {
-        "ts": round(time.time(), 3),
+    return {
         "ns": payload.get("ns"),
         "jobs": payload.get("jobs"),
         "full_json_exponent": growth.get("full_json_exponent"),
@@ -396,46 +384,18 @@ def append_trend_row(path: str, payload: dict[str, Any]) -> dict[str, Any]:
         "delta_bytes_per_msg": growth.get("delta_bytes_per_msg"),
         "cpus": payload.get("cpus"),
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return row
 
 
-def check_trend(
-    path: str, payload: dict[str, Any], *, tolerance: float = 1.5
-) -> list[str]:
-    """Compare this sweep's per-n piggyback against the recorded trend.
-
-    For every n both the current sweep and a prior row measured, the
-    current delta bytes/msg must not exceed ``tolerance`` times the best
-    (smallest) recorded value.  Wire sizes are near-deterministic for a
-    fixed workload, so 1.5x is generous -- the gate catches an encoding
-    regression, not scheduling noise.
-    """
-    if not os.path.exists(path):
-        return []
-    best_prior: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            for n, value in (row.get("delta_bytes_per_msg") or {}).items():
-                if value is None:
-                    continue
-                if n not in best_prior or value < best_prior[n]:
-                    best_prior[n] = value
-    problems: list[str] = []
-    current = payload.get("growth", {}).get("delta_bytes_per_msg", {})
-    for n, value in current.items():
-        prior = best_prior.get(n)
-        if prior is None or value is None:
-            continue
-        if value > tolerance * prior:
-            problems.append(
-                f"n={n}: delta piggyback {value:.1f} B/msg regressed "
-                f"beyond {tolerance:.1f}x the best recorded "
-                f"{prior:.1f} B/msg"
-            )
-    return problems
+#: Cross-run trend of the per-n delta piggyback: for every n both this
+#: sweep and a recorded row measured, fail beyond 1.5x the best recorded
+#: bytes/msg.  Wire sizes are near-deterministic for a fixed workload, so
+#: this catches an encoding regression, not scheduling noise.
+TREND = Trend(
+    row=_trend_row,
+    metric=lambda row: {
+        f"n={n} delta piggyback B/msg": value
+        for n, value in (row.get("delta_bytes_per_msg") or {}).items()
+    },
+    better="lower",
+    tolerance=1.5,
+)

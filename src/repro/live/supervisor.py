@@ -91,13 +91,6 @@ class LiveClusterSpec:
     # closed pipeline workload ({"kind": "pipeline", "jobs": jobs}); the
     # load benchmark substitutes an open-loop source here.
     app: dict[str, Any] | None = None
-    # Wire format for the mesh links: "binary" (delta clocks, varint
-    # framing) or "json" (the legacy text codec, kept for comparison
-    # runs and old-trace tooling).
-    wire_format: str = "binary"
-    # Group-commit window for lazy storage writes (outbox bookkeeping);
-    # 0 restores one fsync per mutation.
-    storage_flush_window: float = 0.05
     # Cooperative early stop: when set, every node polls this path and
     # ends its run phase as soon as the file exists, making
     # ``run_seconds`` a *cap* rather than a fixed duration.  The service
@@ -117,9 +110,6 @@ class LiveClusterSpec:
     # default -- the tracer never feeds back into protocol logic, but
     # the counters cost real work on the hot path.
     obs: bool = False
-    # LiveTrace write batching: records per group flush and the age cap.
-    trace_buffer_records: int = 64
-    trace_buffer_seconds: float = 0.05
 
     def protocol_config(self) -> dict[str, Any]:
         return {
@@ -259,11 +249,7 @@ def run_cluster(spec: LiveClusterSpec, workdir: str) -> LiveRunResult:
                 else {"kind": "pipeline", "jobs": spec.jobs}
             ),
             "config": spec.protocol_config(),
-            "wire_format": spec.wire_format,
-            "storage_flush_window": spec.storage_flush_window,
             "obs": spec.obs,
-            "trace_buffer_records": spec.trace_buffer_records,
-            "trace_buffer_seconds": spec.trace_buffer_seconds,
             # Booting an n-node mesh serialises ~n interpreter starts on
             # small machines; give the barrier headroom that grows with
             # the cluster instead of a one-size 30 s.

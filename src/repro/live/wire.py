@@ -1,11 +1,8 @@
-"""Compact binary wire codec for the live cluster (the wire fast path).
+"""Compact binary wire codec: the one frame format of the live mesh.
 
-Replaces the tagged-JSON text codec on the TCP links with struct-packed
-varint frames.  Every frame starts with a magic byte (0xB5, impossible as
-the first byte of a JSON text frame, which starts with ``{`` = 0x7B) and a
-wire-format version byte, so the receive side keeps decoding legacy JSON
-frames from older peers or recorded traffic: dispatch is per frame, by
-first byte.
+Struct-packed varint frames.  Every frame starts with a magic byte (0xB5)
+and a wire-format version byte; the transport treats a frame without the
+magic byte as corrupt.
 
 Two stateful optimizations ride on the fact that encoder and decoder live
 on the two ends of one TCP connection and observe the same byte stream in
@@ -42,7 +39,7 @@ from repro.live.codec import (
     resolve_dataclass,
 )
 
-#: First byte of every binary frame; a JSON frame starts with ``{`` (0x7B).
+#: First byte of every binary frame.
 MAGIC = 0xB5
 #: Bump when the byte layout changes; the receiver rejects unknown versions.
 WIRE_VERSION = 1
@@ -144,7 +141,7 @@ class _Reader:
 
 
 def is_binary(data: bytes) -> bool:
-    """Is this frame ours?  Anything else falls back to the JSON codec."""
+    """Does this frame carry the binary wire magic byte?"""
     return bool(data) and data[0] == MAGIC
 
 

@@ -1,37 +1,19 @@
-"""Wire & storage fast-path benchmark (``BENCH_wire.json``).
+"""Piggyback wire-cost benchmark (``BENCH_wire.json``).
 
-Two sections, one per layer the fast path touches:
+Replays the adversarial ``stress-mix`` scenario on the simulator with the
+obs layer on and reads the per-send clock cost counters: what every app
+message paid for its FTVC under a full-clock JSON encoding versus the
+per-link delta encoding the live mesh uses (full clock on the first send
+of a link and after every crash, diffs after).  Same schedule, same
+messages, so the ratio is exact and machine-independent.
 
-**piggyback** (deterministic, simulator) -- replays the adversarial
-``stress-mix`` scenario with the obs layer on and reads the per-send
-clock cost counters: what every app message paid for its FTVC under the
-legacy full-clock JSON encoding versus the per-link delta encoding (full
-clock on the first send of a link and after every crash, diffs after).
-Same schedule, same messages, so the ratio is exact.
-
-**live** -- two real SIGKILL-grade cluster runs per scenario over the
-same workload: *before* (legacy JSON frames, one fsync per outbox
-mutation) and *after* (binary delta frames, group-commit window).
-Reported per variant: deliveries/sec, data frames/sec, wire bytes per
-delivery, and fsyncs per delivery, plus the conformance verdict -- the
-speedup only counts if the oracles still pass.
-
-Wall-clock numbers are machine-relative; the piggyback section is not.
+The live cost of the same encoding (wire bytes, data frames and fsyncs
+per delivery on real clusters) is reported by the ``live`` suite.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any
-
-from repro.live.supervisor import (
-    LiveClusterSpec,
-    LiveCrashPlan,
-    LiveRunResult,
-    run_cluster,
-)
-from repro.live.verify import check_live_run
 
 
 def measure_piggyback(seed: int | None = None) -> dict[str, Any]:
@@ -67,127 +49,10 @@ def measure_piggyback(seed: int | None = None) -> dict[str, Any]:
     }
 
 
-def _live_variant_report(result: LiveRunResult) -> dict[str, Any]:
-    spec = result.spec
-    verdict = check_live_run(result.trace, n=spec.n, jobs=spec.jobs)
-    delivered = result.total_delivered
-    wall = result.wall_seconds
-    frames = sum(
-        d["transport"].get("data_frames_sent", 0)
-        for d in result.done.values()
-    )
-    wire_bytes = sum(
-        d["transport"].get("bytes_sent", 0) for d in result.done.values()
-    )
-    fsyncs = sum(d.get("storage_persists", 0) for d in result.done.values())
+def run_wire_bench(*, seed: int | None = None) -> dict[str, Any]:
+    """The ``BENCH_wire.json`` payload."""
     return {
-        "wire_format": spec.wire_format,
-        "storage_flush_window": spec.storage_flush_window,
-        "verdict": verdict.summary(),
-        "ok": verdict.ok,
-        "wall_seconds": round(wall, 3),
-        "app_deliveries": delivered,
-        "deliveries_per_second": (
-            round(delivered / wall, 2) if wall > 0 else None
-        ),
-        "data_frames_sent": frames,
-        "frames_per_second": round(frames / wall, 2) if wall > 0 else None,
-        "wire_bytes_sent": wire_bytes,
-        "wire_bytes_per_delivery": (
-            round(wire_bytes / delivered, 1) if delivered else None
-        ),
-        "fsyncs": fsyncs,
-        "fsyncs_per_delivery": (
-            round(fsyncs / delivered, 2) if delivered else None
-        ),
-    }
-
-
-def _run_pair(
-    workdir: str,
-    name: str,
-    *,
-    n: int,
-    jobs: int,
-    run_seconds: float,
-    crashes: list[LiveCrashPlan],
-) -> dict[str, Any]:
-    variants: dict[str, Any] = {}
-    for variant, wire_format, window in (
-        ("before", "json", 0.0),
-        ("after", "binary", 0.05),
-    ):
-        spec = LiveClusterSpec(
-            n=n,
-            jobs=jobs,
-            run_seconds=run_seconds,
-            crashes=list(crashes),
-            wire_format=wire_format,
-            storage_flush_window=window,
-        )
-        result = run_cluster(
-            spec, os.path.join(workdir, f"{name}_{variant}")
-        )
-        variants[variant] = _live_variant_report(result)
-    before, after = variants["before"], variants["after"]
-    if before["wire_bytes_sent"] and after["wire_bytes_sent"]:
-        variants["wire_bytes_reduction_factor"] = round(
-            before["wire_bytes_sent"] / after["wire_bytes_sent"], 2
-        )
-    if before["fsyncs"] and after["fsyncs"]:
-        variants["fsync_reduction_factor"] = round(
-            before["fsyncs"] / after["fsyncs"], 2
-        )
-    return variants
-
-
-def run_wire_bench(
-    workdir: str,
-    *,
-    n: int = 4,
-    jobs: int = 64,
-    run_seconds: float = 6.0,
-    crash_at: float = 0.25,
-    downtime: float = 1.0,
-    seed: int | None = None,
-    skip_live: bool = False,
-) -> dict[str, Any]:
-    """Run both sections; returns the ``BENCH_wire.json`` payload."""
-    payload: dict[str, Any] = {
         "benchmark": "wire-storage-fast-path",
         "protocol": "damani-garg",
-        "n": n,
-        "jobs": jobs,
-        "run_seconds": run_seconds,
         "piggyback": measure_piggyback(seed),
     }
-    if not skip_live:
-        payload["live"] = {
-            "failure_free": _run_pair(
-                workdir,
-                "failure_free",
-                n=n,
-                jobs=jobs,
-                run_seconds=run_seconds,
-                crashes=[],
-            ),
-            "one_crash": _run_pair(
-                workdir,
-                "one_crash",
-                n=n,
-                jobs=jobs,
-                run_seconds=run_seconds,
-                crashes=[
-                    LiveCrashPlan(pid=1, at=crash_at, downtime=downtime)
-                ],
-            ),
-        }
-    return payload
-
-
-def write_wire_bench(path: str, workdir: str, **kwargs: Any) -> dict[str, Any]:
-    payload = run_wire_bench(workdir, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload

@@ -44,8 +44,6 @@ __all__ = [
     "build_scenario",
     "run_bench",
     "run_bench_matrix",
-    "write_bench_json",
-    "write_bench_matrix_json",
     "write_jsonl",
 ]
 
@@ -54,8 +52,6 @@ _LAZY = {
     "BenchResult": "repro.obs.bench",
     "run_bench": "repro.obs.bench",
     "run_bench_matrix": "repro.obs.bench",
-    "write_bench_json": "repro.obs.bench",
-    "write_bench_matrix_json": "repro.obs.bench",
     "SCENARIOS": "repro.obs.scenarios",
     "build_scenario": "repro.obs.scenarios",
 }

@@ -2,10 +2,10 @@
 
 The ROADMAP's perf trajectory needs a machine-readable number per PR; this
 module produces it.  :func:`run_bench` executes a named scenario (see
-:mod:`repro.obs.scenarios`) with a live tracer and wall-clock timing, and
-:func:`write_bench_json` serialises the headline quantities -- wall time,
-events/second, peak history records, piggyback bytes -- into a flat JSON
-file that successive PRs can diff.
+:mod:`repro.obs.scenarios`) with a live tracer and wall-clock timing;
+``python -m repro bench obs`` writes the headline quantities -- wall
+time, events/second, peak history records, piggyback bytes -- as a flat
+JSON file that successive runs can diff.
 
 ``jobs > 1`` fans the *repeats* out over the :mod:`repro.exec` worker
 pool; because each repeat is an identical seeded run, the counters and the
@@ -42,18 +42,12 @@ Schema (``BENCH_obs.json``)::
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
 from repro.obs.scenarios import SCENARIOS, build_scenario
 from repro.obs.tracer import Tracer
-
-DEFAULT_BENCH_PATH = "BENCH_obs.json"
-DEFAULT_MATRIX_PATH = "BENCH_obs_matrix.json"
-
 
 @dataclass
 class BenchResult:
@@ -278,29 +272,3 @@ def run_bench_matrix(
                 run_bench(name, seed=seed, repeats=repeats)
             )
     return matrix
-
-
-def write_bench_json(
-    bench: BenchResult, path: str = DEFAULT_BENCH_PATH
-) -> str:
-    """Serialise ``bench`` to ``path``; returns the path."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def write_bench_matrix_json(
-    matrix: BenchMatrix, path: str = DEFAULT_MATRIX_PATH
-) -> str:
-    """Serialise a :class:`BenchMatrix` to ``path``; returns the path."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

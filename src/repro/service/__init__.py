@@ -36,15 +36,14 @@ in-shard key -> primary placement)::
     shard = manager.routing.shard_for("user:42")
 
 Grading it (the user simulator + exactly-once audit behind
-``python -m repro service-bench``)::
+``python -m repro bench service``)::
 
     from repro.service import run_service_bench
     payload = run_service_bench(config, workdir)   # BENCH_service.json shape
     assert payload["exactly_once"]["verified"]
 
-The served workload itself -- wire types (promoted here from
-``repro.apps.kvstore``, which keeps deprecation shims), the
-session-deduping replica state, and the shard application -- lives in
+The served workload itself -- wire types (which the
+``repro.apps.kvstore`` workload also uses), the session-deduping replica state, and the shard application -- lives in
 :mod:`repro.service.kv` and is engine-free: the same
 :class:`KVServiceApp` runs under the deterministic simulator in tests
 and under the live runtime in production shards.
@@ -82,7 +81,6 @@ __all__ = [
     "ShardManager",
     "check_service_payload",
     "run_service_bench",
-    "write_service_bench",
 ]
 
 #: Names resolved lazily: the client/manager/bench halves pull in the
@@ -96,7 +94,6 @@ _LAZY = {
     "ShardManager": ("repro.service.manager", "ShardManager"),
     "check_service_payload": ("repro.service.bench", "check_service_payload"),
     "run_service_bench": ("repro.service.bench", "run_service_bench"),
-    "write_service_bench": ("repro.service.bench", "write_service_bench"),
 }
 
 

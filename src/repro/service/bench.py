@@ -1,6 +1,6 @@
 """The service benchmark: a closed-loop user simulator over real shards.
 
-``python -m repro service-bench`` boots a :class:`ShardManager`, drives
+``python -m repro bench service`` boots a :class:`ShardManager`, drives
 ``sessions`` concurrent closed-loop user sessions (Zipfian keys, mixed
 puts/gets, one op outstanding per session) through :class:`KVClient`
 while each shard's supervisor SIGKILLs a replica mid-run, and grades the
@@ -27,8 +27,6 @@ gate over its schema and verdicts.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import random
 import time
 from bisect import bisect_right
@@ -344,23 +342,6 @@ def run_service_bench(
         ),
         "wall_seconds": round(time.time() - start, 3),
     }
-    return payload
-
-
-def write_service_bench(
-    out_path: str,
-    workdir: str,
-    config: ServiceConfig,
-    *,
-    echo: Callable[[str], None] = print,
-) -> dict[str, Any]:
-    """Run the bench and write ``BENCH_service.json`` atomically."""
-    payload = run_service_bench(config, workdir, echo=echo)
-    tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, out_path)
     return payload
 
 

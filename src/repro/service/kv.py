@@ -1,9 +1,9 @@
 """The served KV workload: wire types, session dedup, service application.
 
-This module is the canonical home of the KV wire vocabulary (promoted
-out of :mod:`repro.apps.kvstore`, which keeps deprecation shims) plus
-the *service* flavour of the replica: :class:`KVServiceApp`, the
-application one shard of ``repro.service`` runs.
+This module is the home of the KV wire vocabulary (which
+:mod:`repro.apps.kvstore` builds on) plus the *service* flavour of the
+replica: :class:`KVServiceApp`, the application one shard of
+``repro.service`` runs.
 
 Topology inside one shard of ``n`` processes:
 
@@ -48,7 +48,7 @@ from repro.runtime.app import ProcessContext
 
 
 # ---------------------------------------------------------------------------
-# Wire types (canonical home; repro.apps.kvstore re-exports with shims)
+# Wire types (repro.apps.kvstore's workload uses them too)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class KVPut:

@@ -34,7 +34,7 @@ from repro.sim.process import (
     SendRecord,
 )
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import (
+from repro.runtime.trace import (
     EventKind,
     SimTrace,
     TraceEvent,

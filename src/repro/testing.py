@@ -35,7 +35,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
 from repro.sim.process import Application, ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
+from repro.runtime.trace import SimTrace
 
 
 class ScenarioRun:

@@ -105,10 +105,10 @@ class OverEagerRollback(DamaniGargProcess):
                 # force a gratuitous rollback to the first checkpoint
                 first = next(iter(self.storage.checkpoints))
                 if self.trace is not None:
-                    from repro.sim.trace import EventKind
+                    from repro.runtime.trace import EventKind
 
                     self.trace.record(
-                        self.sim.now,
+                        self.env.now,
                         EventKind.RESTORE,
                         self.pid,
                         ckpt_uid=first.snapshot["uid"],
@@ -120,10 +120,10 @@ class OverEagerRollback(DamaniGargProcess):
                 self.clock = self.clock.tick(self.pid)
                 restored = self.executor.new_recovery_state()
                 if self.trace is not None:
-                    from repro.sim.trace import EventKind
+                    from repro.runtime.trace import EventKind
 
                     self.trace.record(
-                        self.sim.now,
+                        self.env.now,
                         EventKind.ROLLBACK,
                         self.pid,
                         origin=token.origin,

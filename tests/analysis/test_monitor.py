@@ -11,7 +11,7 @@ from repro.sim.failures import CrashPlan
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.process import ProcessHost
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 
 def test_every_builtin_protocol_passes_the_monitor():

@@ -4,7 +4,7 @@ from repro.core.ftvc import ClockEntry
 from repro.core.recovery import AppEnvelope, DamaniGargProcess
 from repro.harness.scenarios import ScriptedApp
 from repro.protocols.base import ProtocolConfig
-from repro.sim.trace import EventKind
+from repro.runtime.trace import EventKind
 from repro.testing import ScenarioBuilder
 
 
@@ -170,7 +170,7 @@ class TestMessageCountCheckpointPolicy:
     def test_checkpoints_every_k_deliveries(self):
         from repro.apps import RandomRoutingApp
         from repro.harness.runner import ExperimentSpec, run_experiment
-        from repro.sim.trace import EventKind
+        from repro.runtime.trace import EventKind
 
         spec = ExperimentSpec(
             n=3,
@@ -194,7 +194,7 @@ class TestMessageCountCheckpointPolicy:
         from repro.apps import RandomRoutingApp
         from repro.harness.runner import ExperimentSpec, run_experiment
         from repro.sim.failures import CrashPlan
-        from repro.sim.trace import EventKind
+        from repro.runtime.trace import EventKind
         from repro.analysis import check_recovery
 
         spec = ExperimentSpec(

@@ -92,7 +92,8 @@ def test_trace_rejects_unknown_scenario():
 def test_bench_command(tmp_path, capsys):
     out_path = tmp_path / "BENCH_obs.json"
     code = main(
-        ["bench", "quickstart", "--repeats", "1", "--out", str(out_path)]
+        ["bench", "obs", "quickstart", "--repeats", "1",
+         "--out", str(out_path)]
     )
     out = capsys.readouterr().out
     assert code == 0

@@ -16,12 +16,12 @@ import pytest
 from repro.analysis import check_recovery
 from repro.apps.applications import mix64
 from repro.core.recovery import DamaniGargProcess
+from repro.bench import append_trend_row, check_trend
 from repro.live.load import (
+    TREND,
     LoadPipelineApp,
     OpenLoopSource,
-    append_trend_row,
     check_load_payload,
-    check_trend,
     job_latencies,
     load_spec,
     run_load_bench,
@@ -33,7 +33,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
 from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
+from repro.runtime.trace import SimTrace
 
 
 def test_intended_schedule_is_deterministic():
@@ -242,16 +242,17 @@ def test_check_load_payload_flags_throughput_below_floor():
 
 def test_trend_rows_append_and_gate(tmp_path):
     path = os.path.join(tmp_path, "trend.jsonl")
-    assert check_trend(path, _payload()) == []   # no history yet
+    assert check_trend(path, _payload(), TREND) == []   # no history yet
 
-    append_trend_row(path, _payload(rate=1000.0))
-    append_trend_row(path, _payload(rate=900.0))
+    append_trend_row(path, _payload(rate=1000.0), TREND)
+    append_trend_row(path, _payload(rate=900.0), TREND)
     with open(path, "r", encoding="utf-8") as fh:
         rows = [json.loads(line) for line in fh]
     assert [r["peak_deliveries_per_second"] for r in rows] == [1000.0, 900.0]
 
-    assert check_trend(path, _payload(rate=800.0)) == []   # within tolerance
-    problems = check_trend(path, _payload(rate=100.0))
+    # within tolerance
+    assert check_trend(path, _payload(rate=800.0), TREND) == []
+    problems = check_trend(path, _payload(rate=100.0), TREND)
     assert problems and "regressed" in problems[0]
 
 

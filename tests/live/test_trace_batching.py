@@ -26,6 +26,12 @@ from repro.live.verify import check_live_run
 from repro.runtime.trace import EventKind
 
 
+def _trace(fh, *, records, seconds):
+    trace = LiveTrace(fh)
+    trace.buffer_records, trace.buffer_seconds = records, seconds
+    return trace
+
+
 def _lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -34,18 +40,12 @@ def _lines(path):
 # ---------------------------------------------------------------------------
 # Buffering unit tests
 # ---------------------------------------------------------------------------
-def test_buffer_records_must_be_positive(tmp_path):
-    with open(tmp_path / "t.jsonl", "w", encoding="utf-8") as fh:
-        with pytest.raises(ValueError):
-            LiveTrace(fh, buffer_records=0)
-
-
 def test_records_batch_until_capacity_then_flush_in_one_write(tmp_path):
     path = str(tmp_path / "t.jsonl")
 
     async def go():
         fh = open(path, "w", encoding="utf-8")
-        trace = LiveTrace(fh, buffer_records=4, buffer_seconds=30.0)
+        trace = _trace(fh, records=4, seconds=30.0)
         for i in range(3):
             trace.record(float(i), EventKind.SEND, 0, value=i)
         # Below capacity, timer far away: nothing on disk yet.
@@ -68,7 +68,7 @@ def test_timer_flushes_a_partial_buffer(tmp_path):
 
     async def go():
         fh = open(path, "w", encoding="utf-8")
-        trace = LiveTrace(fh, buffer_records=64, buffer_seconds=0.02)
+        trace = _trace(fh, records=64, seconds=0.02)
         trace.record(0.0, EventKind.SEND, 0, value="x")
         assert _lines(path) == []
         await asyncio.sleep(0.15)
@@ -84,7 +84,7 @@ def test_without_a_loop_records_flush_immediately(tmp_path):
     # fire the timer, so batching degrades to the old flush-per-record.
     path = str(tmp_path / "t.jsonl")
     fh = open(path, "w", encoding="utf-8")
-    trace = LiveTrace(fh, buffer_records=64, buffer_seconds=30.0)
+    trace = _trace(fh, records=64, seconds=30.0)
     trace.record(0.0, EventKind.SEND, 0, value="x")
     assert len(_lines(path)) == 1
     trace.close()
@@ -95,7 +95,7 @@ def test_close_flushes_the_tail(tmp_path):
 
     async def go():
         fh = open(path, "w", encoding="utf-8")
-        trace = LiveTrace(fh, buffer_records=64, buffer_seconds=30.0)
+        trace = _trace(fh, records=64, seconds=30.0)
         for i in range(5):
             trace.record(float(i), EventKind.SEND, 0, value=i)
         assert _lines(path) == []
@@ -110,7 +110,7 @@ def test_batched_trace_merges_identically(tmp_path):
 
     async def go():
         fh = open(path, "w", encoding="utf-8")
-        trace = LiveTrace(fh, buffer_records=8, buffer_seconds=30.0)
+        trace = _trace(fh, records=8, seconds=30.0)
         trace.record(1.0, EventKind.SEND, 0, value=("done", 3, 12))
         trace.record(3.0, EventKind.OUTPUT, 0, value=("done", 3, 12))
         trace.close()
@@ -134,7 +134,7 @@ def _barrier_scenario(tmp_path, *, hook: bool):
 
     async def go():
         fh = open(trace_path, "w", encoding="utf-8")
-        trace = LiveTrace(fh, buffer_records=64, buffer_seconds=30.0)
+        trace = _trace(fh, records=64, seconds=30.0)
         storage = FileStableStorage(0, str(tmp_path / "stable.pickle"))
         if hook:
             storage.pre_persist_hook = trace.flush

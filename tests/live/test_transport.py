@@ -1,11 +1,14 @@
 """MeshTransport: delivery, acknowledgement, dedup, durable retransmit."""
 
 import asyncio
+import json
 import os
 import socket
 
 import pytest
 
+from repro.live import codec, wire
+from repro.live.framing import BufferedFrameReader, frame
 from repro.live.storage import FileStableStorage
 from repro.live.transport import MeshTransport
 from repro.runtime.message import NetworkMessage
@@ -354,5 +357,117 @@ def test_blocked_link_does_not_dial_at_all():
             assert a.dial_attempts == 0
         finally:
             await a.stop()
+
+    asyncio.run(go())
+
+
+# ---------------------------------------------------------------------------
+# The retired tagged-JSON mesh frames are corrupt frames now
+# ---------------------------------------------------------------------------
+_LEGACY_JSON = {
+    "hello": {"hello": {"pid": 0, "boot": 1}},
+    "data": {"seq": 2, "msg": codec.encode(_msg(2, 0, 1, "legacy"))},
+    "ack": {"ack": 1},
+}
+
+
+def _legacy(kind):
+    return frame(json.dumps(_LEGACY_JSON[kind]).encode("utf-8"))
+
+
+async def _dropped(reader, timeout=5.0):
+    """Read until EOF; the receiver must close the connection."""
+    while await asyncio.wait_for(reader.read(4096), timeout):
+        pass
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(_LEGACY_JSON))
+def test_legacy_json_frame_is_rejected_by_the_receiver(kind):
+    """A tagged-JSON hello, data or ack frame (intact CRC) drops the
+    connection before anything is delivered or the dedup cursor moves."""
+    async def go():
+        ports = _free_ports(2)
+        b = MeshTransport(1, 2, ports)
+        cb = Collector()
+        b.attach(cb)
+        await b.start()
+        try:
+            # A well-formed link delivers seq 1 and sets the cursor.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", ports[1]
+            )
+            writer.write(frame(wire.hello_frame(0, 1)))
+            writer.write(frame(wire.WireEncoder().data_frame(
+                1, _msg(1, 0, 1, "binary"))))
+            await writer.drain()
+            await _wait_until(lambda: len(cb.received) == 1)
+            writer.close()
+            seen = dict(b._seen)
+            assert seen == {(0, 1): 1}
+
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", ports[1]
+            )
+            if kind != "hello":
+                writer.write(frame(wire.hello_frame(0, 1)))
+            writer.write(_legacy(kind))
+            await writer.drain()
+            assert await _dropped(reader)
+            writer.close()
+            await asyncio.sleep(0.05)
+            assert [m.payload for m in cb.received] == ["binary"]
+            assert b._seen == seen
+            assert b.unacked == 0
+        finally:
+            await b.stop()
+
+    asyncio.run(go())
+
+
+@pytest.mark.parametrize("bad_ack", [
+    _legacy("ack"),
+    frame(bytes([wire.MAGIC, wire.WIRE_VERSION + 1, wire.FRAME_ACK, 1])),
+], ids=["legacy-json", "unknown-wire-version"])
+def test_unparseable_ack_drops_the_link_and_the_sender_redials(bad_ack):
+    """An ack the sender cannot parse leaves its outbox untouched; the
+    link drops, the sender redials and retransmits, and a binary ack on
+    the new connection finally prunes the entry."""
+    async def go():
+        ports = _free_ports(2)
+        connections = []
+
+        async def peer(reader, writer):
+            index = len(connections)
+            connections.append(index)
+            frames = BufferedFrameReader(reader)
+            seqs = []
+            while not seqs:
+                batch = await frames.read_batch()
+                if batch is None:
+                    return
+                seqs += [wire.WireDecoder().decode_data(f)[0]
+                         for f in batch
+                         if wire.frame_type(f) == wire.FRAME_DATA]
+            writer.write(
+                bad_ack if index == 0 else frame(wire.ack_frame(seqs[-1]))
+            )
+            await writer.drain()
+            await reader.read()          # hold until the sender hangs up
+
+        server = await asyncio.start_server(peer, "127.0.0.1", ports[1])
+        a = MeshTransport(0, 2, ports)
+        a.attach(Collector())
+        await a.start()
+        try:
+            a.send(1, _msg(1, 0, 1, "retry me"))
+            await _wait_until(lambda: len(connections) >= 2)
+            await _wait_until(lambda: a.unacked == 0)
+            assert a.dial_attempts >= 2
+            assert a.retransmit_count >= 1
+        finally:
+            await a.stop()
+            server.close()
+            await server.wait_closed()
 
     asyncio.run(go())

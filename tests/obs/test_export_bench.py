@@ -2,6 +2,7 @@
 
 import json
 
+from repro.bench import write_payload
 from repro.harness.reporting import render_metrics_report
 from repro.harness.runner import run_experiment
 from repro.obs import (
@@ -9,7 +10,6 @@ from repro.obs import (
     Tracer,
     build_scenario,
     run_bench,
-    write_bench_json,
     write_jsonl,
 )
 
@@ -87,7 +87,7 @@ def test_run_bench_and_write_bench_json(tmp_path):
     assert bench.piggyback_bytes_total > 0
     assert bench.tokens_broadcast == 3
     path = tmp_path / "BENCH_obs.json"
-    written = write_bench_json(bench, str(path))
+    written = write_payload(bench.to_dict(), str(path))
     assert written == str(path)
     data = json.loads(path.read_text())
     assert data["format"] == "repro-bench-v1"
@@ -125,7 +125,7 @@ def test_parallel_repeats_match_serial():
 
 
 def test_bench_matrix_merges_scenarios(tmp_path):
-    from repro.obs import run_bench_matrix, write_bench_matrix_json
+    from repro.obs import run_bench_matrix
 
     matrix = run_bench_matrix(
         ["quickstart", "failure-free"], repeats=1, jobs=2
@@ -133,7 +133,7 @@ def test_bench_matrix_merges_scenarios(tmp_path):
     assert [b.scenario for b in matrix.results] == [
         "quickstart", "failure-free"
     ]
-    path = write_bench_matrix_json(matrix, str(tmp_path / "matrix.json"))
+    path = write_payload(matrix.to_dict(), str(tmp_path / "matrix.json"))
     data = json.loads(open(path).read())
     assert data["format"] == "repro-bench-matrix-v1"
     assert set(data["scenarios"]) == {"quickstart", "failure-free"}

@@ -18,7 +18,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import DeliveryOrder, Network, ScriptedLatency
 from repro.sim.process import ProcessHost
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTrace
+from repro.runtime.trace import SimTrace
 
 
 def _boot(n=4, crashes=None, seed=0):

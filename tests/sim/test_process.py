@@ -1,7 +1,11 @@
 """Unit tests for the process/application model and the executor."""
 
+import warnings
+
 import pytest
 
+from repro.core.recovery import DamaniGargProcess
+from repro.harness.scenarios import ScriptedApp
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.process import (
@@ -9,7 +13,8 @@ from repro.sim.process import (
     ProcessContext,
     ProcessHost,
 )
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
+from repro.sim.rng import RandomStreams
 
 
 class CountingApp:
@@ -177,7 +182,7 @@ class TestProcessHost:
                 self.restarts += 1
 
         proto = FakeProtocol()
-        host.attach(proto)
+        host.runtime_env().attach(proto)
         return sim, net, host, proto, trace
 
     def test_delivery_reaches_protocol(self):
@@ -219,7 +224,7 @@ class TestProcessHost:
     def test_attach_twice_rejected(self):
         sim, net, host, proto, _ = self.make_host()
         with pytest.raises(RuntimeError):
-            host.attach(proto)
+            host.runtime_env().attach(proto)
 
     def test_protocol_required(self):
         sim = Simulator()
@@ -227,3 +232,29 @@ class TestProcessHost:
         host = ProcessHost(0, sim, net)
         with pytest.raises(RuntimeError):
             _ = host.protocol
+
+
+def _host():
+    sim = Simulator()
+    return ProcessHost(0, sim, Network(sim, 1, streams=RandomStreams(0)))
+
+
+def test_legacy_host_construction_still_works():
+    # Passing the ProcessHost itself (the pre-env constructor signature)
+    # keeps working without a warning -- it routes through
+    # host.runtime_env().
+    host = _host()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        protocol = DamaniGargProcess(host, ScriptedApp())
+    assert protocol.env is host.runtime_env()
+    assert protocol.pid == 0
+
+
+def test_env_path_does_not_warn():
+    protocol = DamaniGargProcess(_host().runtime_env(), ScriptedApp())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert protocol.env.alive
+        assert protocol.env.now == 0.0
+        protocol.env.schedule_after(1.0, lambda: None)

@@ -1,6 +1,6 @@
 """Unit tests for the ground-truth trace recorder."""
 
-from repro.sim.trace import EventKind, SimTrace
+from repro.runtime.trace import EventKind, SimTrace
 
 
 def test_record_and_len():
